@@ -73,7 +73,6 @@ let unbuildable fmt = Format.kasprintf (fun s -> raise (Unbuildable s)) fmt
 
 type build_ctx = {
   mutable temp_names : (Op.t * string) list;  (* To_db op -> temp table *)
-  mutable counter : int;
   db : Database.t;
 }
 
@@ -191,16 +190,9 @@ let rec build ctx (plan : Physical.plan) : node =
 
 (** Entry point: [of_physical db plan] for a middleware-resident root. *)
 let of_physical (db : Database.t) (plan : Physical.plan) : node * string list =
-  let ctx = { temp_names = []; counter = 0; db } in
-  ignore ctx.counter;
+  let ctx = { temp_names = []; db } in
   let node = build ctx plan in
   (node, List.map snd ctx.temp_names)
-
-(* ------------------------------------------------------------------ *)
-(* Cursor construction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let now_us () = Unix.gettimeofday () *. 1_000_000.0
 
 (* ------------------------------------------------------------------ *)
 (* Transfer sharing                                                     *)
@@ -321,13 +313,13 @@ let instrument (n : node) (c : Cursor.t) : Cursor.t =
   n.roundtrips <- 0;
   (* Snapshot the global counters around [f] and attribute the deltas. *)
   let measured f =
-    let t0 = now_us () in
+    let t0 = Tango_obs.mono_us () in
     let pr0 = Tango_obs.Counter.value c_page_reads in
     let rt0 = Tango_obs.Counter.value c_roundtrips in
     let r = f () in
     n.page_reads <- n.page_reads + Tango_obs.Counter.value c_page_reads - pr0;
     n.roundtrips <- n.roundtrips + Tango_obs.Counter.value c_roundtrips - rt0;
-    n.elapsed_us <- n.elapsed_us +. (now_us () -. t0);
+    n.elapsed_us <- n.elapsed_us +. (Tango_obs.mono_us () -. t0);
     r
   in
   Cursor.make_full ~schema:(Cursor.schema c)
@@ -452,10 +444,6 @@ and run_dep ctx dep =
       (with_schema sanitized source)
   in
   Cursor.init td
-
-(** Instantiate as an instrumented cursor (transfer sharing on). *)
-let to_cursor (topology : Topology.t) (n : node) : Cursor.t =
-  build_cursor (run_ctx topology) n
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                        *)

@@ -303,7 +303,7 @@ type t = {
   mutable query_observer : (query_event -> unit) option;
   profile : Tango_profile.Feedback.t;
   sentinel : Tango_profile.Sentinel.t;
-  stats_cache : (string * string, Rel_stats.t) Hashtbl.t;
+  stats_cache : (string, Rel_stats.t) Hashtbl.t;  (* by table *)
 }
 
 (** Attach a session to an existing topology ({!Topology.single} for the
@@ -426,29 +426,32 @@ let refresh_statistics t =
   Hashtbl.reset t.stats_cache;
   invalidate_plan_cache t ~reason:"stats-refresh"
 
-(* The Statistics Collector hook used for optimization.  For the
-   partitioned table the per-shard catalogs are merged into whole-table
-   statistics ({!Rel_stats.merge}); everything else is replicated, so the
-   primary's catalog is authoritative. *)
+(* The Statistics Collector hook used for optimization, collected once
+   per table and requalified per alias.  For the partitioned table the
+   per-shard catalogs are merged into whole-table statistics
+   ({!Rel_stats.merge}); everything else is replicated, so the primary's
+   catalog is authoritative. *)
+let collect_table t table : Rel_stats.t =
+  let histograms = if t.config.Config.histograms then `All else `None in
+  let collect db = Collector.collect ~histograms db ~qualifier:table table in
+  match Topology.partitioned_table t.topology with
+  | Some (ptable, _)
+    when Topology.is_sharded t.topology && String.equal ptable table -> (
+      match List.filter_map Backend.database (Topology.backends t.topology) with
+      | [] -> collect (database t)
+      | dbs -> Rel_stats.merge (List.map collect dbs))
+  | _ -> collect (database t)
+
 let base_stats t ~qualifier table : Rel_stats.t =
-  match Hashtbl.find_opt t.stats_cache (qualifier, table) with
-  | Some s -> s
-  | None ->
-      let histograms = if t.config.Config.histograms then `All else `None in
-      let collect db = Collector.collect ~histograms db ~qualifier table in
-      let s =
-        match Topology.partitioned_table t.topology with
-        | Some (ptable, _)
-          when Topology.is_sharded t.topology && String.equal ptable table -> (
-            match
-              List.filter_map Backend.database (Topology.backends t.topology)
-            with
-            | [] -> collect (database t)
-            | dbs -> Rel_stats.merge (List.map collect dbs))
-        | _ -> collect (database t)
-      in
-      Hashtbl.replace t.stats_cache (qualifier, table) s;
-      s
+  let s =
+    match Hashtbl.find_opt t.stats_cache table with
+    | Some s -> s
+    | None ->
+        let s = collect_table t table in
+        Hashtbl.replace t.stats_cache table s;
+        s
+  in
+  if String.equal qualifier table then s else Rel_stats.requalify qualifier s
 
 let stats_env ?binding t : Derive.env =
   Derive.env ~mode:t.config.Config.selectivity_mode ?binding

@@ -219,7 +219,9 @@ val adopt_factors : t -> Tango_cost.Factors.t -> unit
 
 val refresh_statistics : t -> unit
 (** Invalidate cached statistics (after loads or ANALYZE); also flushes
-    the plan cache, whose plans were chosen under the old statistics. *)
+    the plan cache, whose plans were chosen under the old statistics.
+    The next {!base_stats} of a table reads the catalog again, with no
+    ANALYZE where its statistics serve ({!Tango_stats.Collector.collect}). *)
 
 val plan_cache_stats : t -> Tango_cache.Plan_cache.stats
 (** Hit/miss/eviction/invalidation totals of the session's plan cache. *)
@@ -231,7 +233,9 @@ val invalidate_plan_cache : t -> reason:string -> unit
 
 val base_stats : t -> qualifier:string -> string -> Tango_stats.Rel_stats.t
 (** The Statistics Collector hook: statistics for a base table under a
-    qualifier, cached per session. *)
+    qualifier.  Collected once per table ({!Tango_stats.Collector.collect};
+    merged across shards for the partitioned table) and requalified for
+    each alias, so a self-join's aliases share one collect. *)
 
 val stats_env : ?binding:Value.t array -> t -> Tango_stats.Derive.env
 (** The optimizer's statistics environment.  [binding] closes [Param n]

@@ -7,25 +7,31 @@
 
 open Tango_rel
 
-(** Number of histogram buckets, matching typical DBMS defaults. *)
-let default_buckets = 32
+(* Number of histogram buckets, matching typical DBMS defaults. *)
+let buckets = 32
 
-(** [run ?histograms ?buckets table] scans the table once and attaches fresh
-    statistics to it.  [histograms] lists the columns that get histograms
-    ([`All] for every column, [`None] to skip, [`Cols names] to select);
-    the with/without-histogram optimizer comparison of the paper's Query 2
-    experiment toggles this. *)
-let run ?(histograms = `All) ?(buckets = default_buckets)
-    (table : Catalog.table) : Stat.table_stats =
+type histograms = [ `All | `Cols of string list | `None ]
+
+(* Whether a [histograms] ANALYZE builds a histogram on a column: only
+   numeric columns of a non-empty table get one. *)
+let builds (histograms : histograms) ~rows (dtype : Value.dtype) name =
+  rows > 0
+  && (match dtype with
+     | Value.TInt | Value.TFloat | Value.TDate -> true
+     | Value.TBool | Value.TStr -> false)
+  &&
+  match histograms with
+  | `All -> true
+  | `None -> false
+  | `Cols names -> List.mem name names
+
+(** Scan the table once and return fresh statistics, leaving the catalog
+    untouched. *)
+let compute ?(histograms = `All) (table : Catalog.table) : Stat.table_stats =
   let file = table.file in
   let schema = Tango_storage.Heap_file.schema file in
   let rel = Tango_storage.Heap_file.to_relation file in
-  let wants_histogram name =
-    match histograms with
-    | `All -> true
-    | `None -> false
-    | `Cols names -> List.mem name names
-  in
+  let rows = Relation.cardinality rel in
   let columns =
     List.map
       (fun (a : Schema.attribute) ->
@@ -35,13 +41,8 @@ let run ?(histograms = `All) ?(buckets = default_buckets)
             (fun acc v -> if Value.is_null v then acc + 1 else acc)
             0 vals
         in
-        let numeric =
-          match a.dtype with
-          | Value.TInt | Value.TFloat | Value.TDate -> true
-          | Value.TBool | Value.TStr -> false
-        in
         let histogram =
-          if numeric && wants_histogram a.name && Array.length vals > 0 then
+          if builds histograms ~rows a.dtype a.name then
             Some (Histogram.height_balanced ~buckets vals)
           else None
         in
@@ -61,14 +62,29 @@ let run ?(histograms = `All) ?(buckets = default_buckets)
         })
       (Schema.attributes schema)
   in
-  let stats =
-    {
-      Stat.table = table.name;
-      cardinality = Tango_storage.Heap_file.tuple_count file;
-      blocks = Tango_storage.Heap_file.block_count file;
-      avg_tuple_size = Tango_storage.Heap_file.avg_tuple_size file;
-      columns;
-    }
-  in
+  {
+    Stat.table = table.name;
+    cardinality = Tango_storage.Heap_file.tuple_count file;
+    blocks = Tango_storage.Heap_file.block_count file;
+    avg_tuple_size = Tango_storage.Heap_file.avg_tuple_size file;
+    columns;
+  }
+
+let run ?histograms (table : Catalog.table) : Stat.table_stats =
+  let stats = compute ?histograms table in
   table.stats <- Some stats;
   stats
+
+let reuse ?(histograms = `All) (table : Catalog.table) (stats : Stat.table_stats)
+    =
+  let schema = Tango_storage.Heap_file.schema table.file in
+  let builds (c : Stat.column_stats) =
+    builds histograms ~rows:stats.Stat.cardinality
+      (Schema.dtype_of schema c.Stat.col)
+      c.Stat.col
+  in
+  if List.exists (fun c -> builds c && c.Stat.histogram = None) stats.columns
+  then None
+  else
+    let drop c = if builds c then c else { c with Stat.histogram = None } in
+    Some { stats with columns = List.map drop stats.columns }

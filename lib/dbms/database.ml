@@ -38,6 +38,11 @@ let bump_generation db name =
   if not (is_temp_table name) then
     db.schema_generation <- db.schema_generation + 1
 
+(* New rows or a new index make a table's statistics stale (cardinality,
+   min/max, histograms, index flags): drop them, so the next statistics
+   read runs ANALYZE once instead of trusting them. *)
+let stale (table : Catalog.table) = table.Catalog.stats <- None
+
 let catalog db = db.catalog
 let io_stats db = db.catalog.Catalog.io
 let buffer_pool db = db.catalog.Catalog.pool
@@ -66,6 +71,7 @@ let execute_ast db (stmt : Ast.statement) : result =
       Ok_count 0
   | Ast.Insert (name, rows) ->
       let table = Catalog.find db.catalog name in
+      stale table;
       let schema = Tango_storage.Heap_file.schema table.Catalog.file in
       (* Literal coercion to declared column types (INT literals are valid
          DATE/FLOAT values, as in SQL). *)
@@ -120,6 +126,7 @@ let table_cardinality db name =
     append per tuple). *)
 let load db name (r : Relation.t) =
   let table = Catalog.find db.catalog name in
+  stale table;
   Relation.iter
     (fun t -> ignore (Tango_storage.Heap_file.append table.Catalog.file t))
     r
@@ -137,20 +144,18 @@ let fresh_temp_name db =
 
 let create_index db ?(clustered = false) table attr =
   ignore (Catalog.add_index db.catalog table ~clustered attr);
+  stale (Catalog.find db.catalog table);
   bump_generation db table
 
-(** ANALYZE a table (see {!Analyze.run}).  [bump:false] is for the
-    middleware's internal statistics collection: it re-runs ANALYZE as an
-    implementation detail and must not advance the schema generation,
-    which would flush plan caches keyed on it. *)
-let analyze db ?histograms ?buckets ?(bump = true) name : Stat.table_stats =
-  let r = Analyze.run ?histograms ?buckets (Catalog.find db.catalog name) in
-  if bump then bump_generation db name;
+(** ANALYZE a table (see {!Analyze.run}). *)
+let analyze db ?histograms name : Stat.table_stats =
+  let r = Analyze.run ?histograms (Catalog.find db.catalog name) in
+  bump_generation db name;
   r
 
-let analyze_all db ?histograms ?buckets () =
+let analyze_all db ?histograms () =
   List.iter
-    (fun name -> ignore (analyze db ?histograms ?buckets name))
+    (fun name -> ignore (analyze db ?histograms name))
     (Catalog.table_names db.catalog)
 
 let stats_of db name = (Catalog.find db.catalog name).Catalog.stats

@@ -43,7 +43,8 @@ val table_schema : t -> string -> Schema.t
 val table_cardinality : t -> string -> int
 
 val load : t -> string -> Relation.t -> unit
-(** Bulk-append into an existing table. *)
+(** Bulk-append into an existing table, dropping its statistics (stale
+    now), as SQL INSERT and {!create_index} also do. *)
 
 val load_relation : t -> string -> Relation.t -> unit
 (** Create-and-load in one step (the schema is unqualified). *)
@@ -53,27 +54,13 @@ val fresh_temp_name : t -> string
     at the end of the query"). *)
 
 val create_index : t -> ?clustered:bool -> string -> string -> unit
-(** [create_index db table attr]. *)
+(** [create_index db table attr]; drops the table's statistics. *)
 
-val analyze :
-  t ->
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  ?buckets:int ->
-  ?bump:bool ->
-  string ->
-  Stat.table_stats
+val analyze : t -> ?histograms:Analyze.histograms -> string -> Stat.table_stats
 (** ANALYZE one table (see {!Analyze.run}).  Advances the
-    {!schema_generation} (statistics changed, cached plans are stale)
-    unless [bump:false] — which the middleware's internal statistics
-    collection passes, since its re-ANALYZE is an implementation detail,
-    not a user-visible statistics change. *)
+    {!schema_generation} (statistics changed, cached plans are stale). *)
 
-val analyze_all :
-  t ->
-  ?histograms:[ `All | `Cols of string list | `None ] ->
-  ?buckets:int ->
-  unit ->
-  unit
+val analyze_all : t -> ?histograms:Analyze.histograms -> unit -> unit
 
 val stats_of : t -> string -> Stat.table_stats option
 (** Catalog statistics, if the table has been analyzed. *)

@@ -30,8 +30,12 @@ type record = {
   act_bytes : float;
   est_us : float;  (** inclusive estimated cost (children included) *)
   act_us : float;  (** inclusive measured wall time *)
-  est_self_us : float;  (** this operator only *)
+  est_self_us : float;
+      (** the estimate less the middleware children's; a transfer's
+          keeps its DBMS-resident subtree, as its measurement must *)
   act_self_us : float;
+      (** measured time less the middleware children's; a transfer's
+          includes the DBMS work it waits on, which cannot be split out *)
   est_pages : float;  (** DBMS pages; rough, nonzero only for transfers *)
   act_pages : int;
   est_roundtrips : float;  (** client round trips; transfers only *)
@@ -51,6 +55,10 @@ type report = {
   total_act_us : float;
   observations : Calibrate.observation list;
 }
+
+val paired_children : Physical.plan -> Physical.plan list
+(** The plan children an operator has in the executed trace: a
+    transfer's are the middleware sources of its `TRANSFER^D` inputs. *)
 
 val analyze :
   stats_env:Derive.env ->

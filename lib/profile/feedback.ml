@@ -82,12 +82,12 @@ let get_agg table key op_name =
       a
 [@@tango.unguarded "internal helper, only called under t.lock"]
 
-let fold_record (a : agg) (r : Analyze.record) =
+let fold_record (a : agg) ~q_cost (r : Analyze.record) =
   a.executions <- a.executions + 1;
   a.sum_q_rows <- a.sum_q_rows +. r.Analyze.q_rows;
-  a.sum_q_cost <- a.sum_q_cost +. r.Analyze.q_cost;
+  a.sum_q_cost <- a.sum_q_cost +. q_cost;
   a.max_q_rows <- Float.max a.max_q_rows r.Analyze.q_rows;
-  a.max_q_cost <- Float.max a.max_q_cost r.Analyze.q_cost;
+  a.max_q_cost <- Float.max a.max_q_cost q_cost;
   a.sum_act_us <- a.sum_act_us +. r.Analyze.act_us
 [@@tango.unguarded "internal helper, only called under t.lock"]
 
@@ -98,9 +98,17 @@ let record (t : t) (report : Analyze.report) =
         (fun (r : Analyze.record) ->
           fold_record
             (get_agg t.frags r.Analyze.fingerprint r.Analyze.operator)
-            r;
+            ~q_cost:r.Analyze.q_cost r;
+          (* a factor prices its operator's own term, so its q-error
+             compares self costs: inclusive ones would bury a mispriced
+             term under the cost of the subtree below it *)
           match factor_of_operator r.Analyze.operator with
-          | Some f -> fold_record (get_agg t.factors f r.Analyze.operator) r
+          | Some f ->
+              let q_cost =
+                Analyze.q_error ~est:r.Analyze.est_self_us
+                  ~actual:r.Analyze.act_self_us ()
+              in
+              fold_record (get_agg t.factors f r.Analyze.operator) ~q_cost r
           | None -> ())
         report.Analyze.records;
       t.observations <-

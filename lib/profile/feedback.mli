@@ -40,8 +40,10 @@ val fragments : t -> (string * stats) list
 (** All fragments, worst mean cost q-error first. *)
 
 val factor_q : t -> (string * (int * float)) list
-(** Per cost factor: (samples, mean cost q-error) of the operators priced
-    by that factor — the adaptation trigger signal. *)
+(** Per cost factor: (samples, mean self-cost q-error) of the operators
+    priced by that factor — the adaptation trigger signal.  The q-error
+    compares each operator's own estimated and measured cost
+    ([est_self_us], [act_self_us]), not the subtree totals. *)
 
 val observations : t -> Calibrate.observation list
 (** The current refit window, oldest first. *)

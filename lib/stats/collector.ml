@@ -50,13 +50,16 @@ let of_table_stats ~(qualifier : string) (ts : Stat.table_stats) : Rel_stats.t
   in
   { Rel_stats.card; cols }
 
-(** Collect statistics for a table directly from a database, running ANALYZE
-    when the catalog has none. *)
+(** Collect statistics for a table (see the mli for the reuse rule). *)
 let collect ?histograms (db : Database.t) ~(qualifier : string)
     (table : string) : Rel_stats.t =
+  let t = Catalog.find (Database.catalog db) table in
   let ts =
-    match Database.stats_of db table with
-    | Some ts when histograms = None -> ts
-    | _ -> Database.analyze db ?histograms ~bump:false table
+    match t.Catalog.stats with
+    | None -> Analyze.run ?histograms t
+    | Some ts -> (
+        match Analyze.reuse ?histograms t ts with
+        | Some ts -> ts
+        | None -> Analyze.compute ?histograms t)
   in
   of_table_stats ~qualifier ts

@@ -25,11 +25,6 @@ type t = {
   cols : (string * col) list;  (** per output-schema attribute *)
 }
 
-let default_width = function
-  | Value.TBool -> 1.0
-  | Value.TInt | Value.TFloat | Value.TDate -> 8.0
-  | Value.TStr -> 16.0
-
 let col_default ?(width = 8.0) card =
   { distinct = card; min_v = None; max_v = None; histogram = None;
     avg_width = width; indexed = false }
@@ -44,6 +39,13 @@ let find (s : t) name =
         List.filter (fun (n, _) -> String.equal (Schema.base_name n) base) s.cols
       in
       (match matches with [ (_, c) ] -> Some c | _ -> None)
+
+let requalify qualifier (s : t) =
+  {
+    s with
+    cols =
+      List.map (fun (n, c) -> (qualifier ^ "." ^ Schema.base_name n, c)) s.cols;
+  }
 
 let avg_tuple_size (s : t) =
   List.fold_left (fun acc (_, c) -> acc +. c.avg_width) 0.0 s.cols

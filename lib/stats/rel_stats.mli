@@ -22,14 +22,17 @@ type t = {
   cols : (string * col) list;  (** per output-schema attribute *)
 }
 
-val default_width : Value.dtype -> float
-
 val col_default : ?width:float -> float -> col
 (** Uninformative column statistics for a relation of the given
     cardinality. *)
 
 val find : t -> string -> col option
 (** Lookup with base-name fallback, mirroring {!Schema.index}. *)
+
+val requalify : string -> t -> t
+(** The same statistics with every column name requalified, as
+    [qualifier.base_name]: a base table's statistics seen under an
+    alias. *)
 
 val avg_tuple_size : t -> float
 

@@ -556,6 +556,142 @@ let test_batching_differential () =
       Alcotest.(check int) (name ^ ": bytes shipped agree") byt byb)
     batched tuple
 
+(* ---------------- statistics collection ---------------- *)
+
+let uis_tables = [ "POSITION"; "EMPLOYEE" ]
+
+let optimize_workload mw =
+  List.iter
+    (fun (_, sql) ->
+      let initial =
+        Tango_tsql.Compile.initial_plan ~lookup:(Middleware.schema_lookup mw) sql
+      in
+      ignore
+        (Middleware.optimize mw
+           ~required_order:(Tango_tsql.Compile.required_order sql)
+           initial))
+    Queries.workload
+
+let catalog_stats db = List.map (Tango_dbms.Database.stats_of db) uis_tables
+
+let check_same_records label before after =
+  List.iter2
+    (fun (table, b) a ->
+      Alcotest.(check bool) (label ^ ": " ^ table ^ " statistics untouched") true
+        (match (b, a) with Some b, Some a -> a == b | _ -> false))
+    (List.combine uis_tables before)
+    after
+
+(* A cold optimize reads the catalog: after a statistics refresh,
+   optimizing Queries 1-4 leaves the catalog's statistics records
+   physically the same — no ANALYZE ran — whatever the data size. *)
+let test_cold_optimize_reads_catalog () =
+  List.iter
+    (fun scale ->
+      let db = Tango_dbms.Database.create () in
+      Uis.load ~scale db;
+      let mw = Middleware.connect ~roundtrip_spin:0 db in
+      Middleware.refresh_statistics mw;
+      let before = catalog_stats db in
+      let generation = Tango_dbms.Database.schema_generation db in
+      optimize_workload mw;
+      let label = Printf.sprintf "scale %g" scale in
+      check_same_records label before (catalog_stats db);
+      Alcotest.(check int) (label ^ ": schema generation") generation
+        (Tango_dbms.Database.schema_generation db))
+    [ 0.01; 0.05 ]
+
+(* Tables loaded without statistics are analyzed once each, however many
+   aliases the workload scans them under (Query 3's A/B self-join, Query
+   4's P/E); a second session reads what the first left in the catalog. *)
+let test_one_analyze_per_table () =
+  let db = Tango_dbms.Database.create () in
+  Tango_dbms.Database.load_relation db "POSITION"
+    (Uis.position ~n:400 ~employees:250 ());
+  Tango_dbms.Database.load_relation db "EMPLOYEE" (Uis.employee ~n:250 ());
+  let io = Tango_dbms.Database.io_stats db in
+  let scanned f =
+    let r0 = io.Tango_storage.Io_stats.tuples_read in
+    f ();
+    io.Tango_storage.Io_stats.tuples_read - r0
+  in
+  let rows =
+    List.fold_left
+      (fun acc t -> acc + Tango_dbms.Database.table_cardinality db t)
+      0 uis_tables
+  in
+  Alcotest.(check int) "each table scanned once" rows
+    (scanned (fun () -> optimize_workload (Middleware.connect db)));
+  let analyzed = catalog_stats db in
+  Alcotest.(check int) "a second session scans nothing" 0
+    (scanned (fun () -> optimize_workload (Middleware.connect db)));
+  check_same_records "second session" analyzed (catalog_stats db)
+
+(* Loads, INSERTs and new indexes drop a table's statistics, so a
+   statistics refresh sees them: the index built after ANALYZE is usable,
+   the appended rows are counted. *)
+let test_refresh_sees_catalog_changes () =
+  let db = Tango_dbms.Database.create () in
+  Uis.load ~scale:0.005 db;
+  let mw = Middleware.connect ~roundtrip_spin:0 db in
+  let stats () = Middleware.base_stats mw ~qualifier:"P" "POSITION" in
+  let card () = (stats ()).Tango_stats.Rel_stats.card in
+  Alcotest.(check bool) "EmpID not indexed" false
+    (Tango_stats.Rel_stats.indexed_on (stats ()) "P.EmpID");
+  Tango_dbms.Database.create_index db "POSITION" "EmpID";
+  Middleware.refresh_statistics mw;
+  Alcotest.(check bool) "index seen after refresh" true
+    (Tango_stats.Rel_stats.indexed_on (stats ()) "P.EmpID");
+  let rows = card () in
+  let extra = Uis.position ~n:10 () in
+  Tango_dbms.Database.load db "POSITION" extra;
+  Middleware.refresh_statistics mw;
+  Alcotest.(check (float 0.0)) "loaded rows counted"
+    (rows +. float_of_int (Relation.cardinality extra))
+    (card ());
+  ignore
+    (Tango_dbms.Database.execute db
+       "INSERT INTO POSITION VALUES (1, 1, 'x', 'd', 1.0, 's', 1, 2)");
+  Middleware.refresh_statistics mw;
+  Alcotest.(check (float 0.0)) "inserted row counted"
+    (rows +. float_of_int (Relation.cardinality extra) +. 1.0)
+    (card ())
+
+(* On a sharded topology the partitioned table's statistics are still the
+   merge of what a fresh ANALYZE of each shard reports under the alias,
+   and the replicated table's are the primary's; no shard's catalog is
+   rewritten. *)
+let test_sharded_merged_stats () =
+  let topo = Uis.load_sharded ~scale:0.01 ~shards:2 () in
+  let mw = Middleware.connect_topology topo in
+  let dbs =
+    List.filter_map Tango_dbms.Backend.database (Tango_dbms.Topology.backends topo)
+  in
+  let before = List.map catalog_stats dbs in
+  List.iter
+    (fun qualifier ->
+      let collect db table =
+        Tango_stats.Collector.of_table_stats ~qualifier
+          (Tango_dbms.Analyze.compute
+             (Tango_dbms.Catalog.find (Tango_dbms.Database.catalog db) table))
+      in
+      Alcotest.(check bool) (qualifier ^ ": POSITION merged per shard") true
+        (compare
+           (Middleware.base_stats mw ~qualifier "POSITION")
+           (Tango_stats.Rel_stats.merge
+              (List.map (fun db -> collect db "POSITION") dbs))
+        = 0);
+      Alcotest.(check bool) (qualifier ^ ": EMPLOYEE from the primary") true
+        (compare
+           (Middleware.base_stats mw ~qualifier "EMPLOYEE")
+           (collect (Middleware.database mw) "EMPLOYEE")
+        = 0))
+    [ "POSITION"; "A"; "B"; "EMPLOYEE"; "E" ];
+  List.iter2
+    (fun db b -> check_same_records "shard" b (catalog_stats db))
+    dbs before;
+  Tango_dbms.Topology.close topo
+
 let () =
   Alcotest.run "tango_core"
     [
@@ -591,6 +727,17 @@ let () =
           Alcotest.test_case "alpha normalization" `Quick test_alpha_normalize;
           Alcotest.test_case "transfer sharing" `Quick test_transfer_sharing;
           Alcotest.test_case "batching differential" `Quick test_batching_differential;
+        ] );
+      ( "statistics",
+        [
+          Alcotest.test_case "cold optimize reads catalog" `Quick
+            test_cold_optimize_reads_catalog;
+          Alcotest.test_case "one ANALYZE per table" `Quick
+            test_one_analyze_per_table;
+          Alcotest.test_case "sharded merged stats" `Quick
+            test_sharded_merged_stats;
+          Alcotest.test_case "refresh sees catalog changes" `Quick
+            test_refresh_sees_catalog_changes;
         ] );
       ( "properties",
         [

@@ -11,6 +11,7 @@ open Tango_profile
 
 module Ast = Tango_sql.Ast
 module Physical = Tango_volcano.Physical
+module Trace = Tango_obs.Trace
 
 (* ---------------- q-error ---------------- *)
 
@@ -202,18 +203,65 @@ let test_profiling_off_no_analysis () =
   Alcotest.(check int) "store untouched" 0
     (Feedback.queries (Middleware.profile_store mw))
 
-let test_adaptive_refit_triggers () =
-  let mw =
-    setup ~config:Middleware.Config.(default |> with_adaptive_costs true) ()
+(* The operator trace that a host on which the cost model is exact would
+   measure for [plan], except that transfers take [slow] times their
+   estimate: each operator spends its own estimated cost, plus its
+   children's time.  Row, byte and round-trip counts are [span]'s. *)
+let rec modelled_span ~slow (p : Physical.plan) (s : Trace.span) : Trace.span
+    =
+  let pairs = List.combine (Analyze.paired_children p) s.Trace.children in
+  let children = List.map (fun (c, cs) -> modelled_span ~slow c cs) pairs in
+  let own =
+    List.fold_left
+      (fun acc ((c : Physical.plan), _) -> acc -. c.Physical.total_cost)
+      p.Physical.total_cost pairs
   in
-  (* make the cost model wildly optimistic about transfers so the
-     misestimation threshold is certainly crossed *)
+  let k =
+    match p.Physical.algorithm with
+    | Physical.Transfer_m_algo | Physical.Scatter_gather_m -> slow
+    | _ -> 1.0
+  in
+  let below =
+    List.fold_left (fun acc (c : Trace.span) -> acc +. c.Trace.elapsed_us) 0.0
+      children
+  in
+  Trace.make
+    ~elapsed_us:((k *. Float.max 0.0 own) +. below)
+    ~attrs:s.Trace.attrs ~children s.Trace.name
+
+(* Run each of [sqls] once and record [runs] analyses of it into the
+   session's feedback store, measured as [modelled_span ~slow] says: the
+   inputs to adaptation are the same on every run. *)
+let record_modelled mw ~slow ~runs sqls =
+  List.iter
+    (fun sql ->
+      let r = Middleware.query mw sql in
+      let span =
+        modelled_span ~slow r.Middleware.physical
+          (Exec_plan.to_trace r.Middleware.exec)
+      in
+      let a =
+        Analyze.analyze ~stats_env:(Middleware.stats_env mw)
+          ~factors:(Middleware.factors mw) r.Middleware.physical span
+      in
+      for _ = 1 to runs do
+        Feedback.record (Middleware.profile_store mw) a
+      done)
+    sqls
+
+let test_adaptive_refit_triggers () =
+  let mw = setup () in
+  (* a host on which every transfer takes 20 times what the cost model
+     says, so the misestimation threshold is certainly crossed *)
+  record_modelled mw ~slow:20.0 ~runs:4 [ Queries.q1_sql ];
+  let store = Middleware.profile_store mw in
   let factors = Middleware.factors mw in
-  ignore (Tango_cost.Factors.set_by_name factors "p_tm" 1e-6);
   let before = Tango_cost.Factors.get_by_name factors "p_tm" in
-  for _ = 1 to 4 do
-    ignore (Middleware.query mw Queries.q1_sql)
-  done;
+  (match Adapt.maybe_refit store ~factors with
+  | Some refitted ->
+      Alcotest.(check bool) "p_tm among the refitted" true
+        (List.mem "p_tm" refitted)
+  | None -> Alcotest.fail "no refit");
   let after = Tango_cost.Factors.get_by_name factors "p_tm" in
   (match (before, after) with
   | Some b, Some a ->
@@ -221,26 +269,98 @@ let test_adaptive_refit_triggers () =
   | _ -> Alcotest.fail "factor lookup failed");
   (* the refit cleared the evidence window (queries counter restarted) *)
   Alcotest.(check bool) "window cleared after refit" true
+    (Feedback.queries store < 4)
+
+let test_adaptive_refit_in_session () =
+  let mw =
+    setup ~config:Middleware.Config.(default |> with_adaptive_costs true) ()
+  in
+  (* the session's own hook, on real timings: transfers priced 10,000
+     times too high, an estimate no measured transfer comes near *)
+  let factors = Middleware.factors mw in
+  let before = 1e4 *. factors.Tango_cost.Factors.p_tm in
+  factors.Tango_cost.Factors.p_tm <- before;
+  for _ = 1 to 4 do
+    ignore (Middleware.query mw Queries.q1_sql)
+  done;
+  Alcotest.(check bool) "p_tm refitted downward" true
+    (factors.Tango_cost.Factors.p_tm < before);
+  Alcotest.(check bool) "window cleared after refit" true
     (Feedback.queries (Middleware.profile_store mw) < 4)
+
+let test_accurate_factors_no_refit () =
+  (* measurements that match the cost model on real plans of the paper's
+     queries, a transfer's DBMS work included: every factor's self-cost
+     q-error is 1 and nothing is refitted *)
+  let mw = setup () in
+  record_modelled mw ~slow:1.0 ~runs:3 (List.map snd Queries.workload);
+  let store = Middleware.profile_store mw in
+  let q = Feedback.factor_q store in
+  Alcotest.(check bool) "transfers sampled" true
+    (match List.assoc_opt "p_tm" q with Some (n, _) -> n >= 3 | None -> false);
+  List.iter
+    (fun (factor, (_, mean_q)) ->
+      Alcotest.(check (float 1e-6)) (factor ^ " q-error") 1.0 mean_q)
+    q;
+  Alcotest.(check bool) "no refit" true
+    (Adapt.maybe_refit store ~factors:(Middleware.factors mw) = None)
+
+(* One SORT^M record above a transfer: [est_self_us]/[act_self_us] are
+   its own cost term, [est_us]/[act_us] add the [child_us] below it. *)
+let sort_record ~est_self_us ~act_self_us ~child_us : Analyze.record =
+  let est_us = est_self_us +. child_us and act_us = act_self_us +. child_us in
+  {
+    Analyze.operator = "SORT^M";
+    depth = 0;
+    fingerprint = "s";
+    est_rows = 100.0;
+    act_rows = 100;
+    est_bytes = 1000.0;
+    act_bytes = 1000.0;
+    est_us;
+    act_us;
+    est_self_us;
+    act_self_us;
+    est_pages = 0.0;
+    act_pages = 0;
+    est_roundtrips = 0.0;
+    act_roundtrips = 0;
+    q_rows = 1.0;
+    q_cost = Analyze.q_error ~est:est_us ~actual:act_us ();
+  }
+
+let report_of records : Analyze.report =
+  {
+    Analyze.records;
+    fingerprint = "x";
+    mean_q_rows = 1.0;
+    mean_q_cost = 1.0;
+    max_q_rows = 1.0;
+    max_q_cost = 1.0;
+    total_est_us = 1.0;
+    total_act_us = 1.0;
+    observations = [];
+  }
+
+let test_factor_q_uses_self_cost () =
+  (* the sort is priced at 10 us but measured at 100 us; the subtree
+     total (1,440 us estimated) hides that, the self cost does not *)
+  let store = Feedback.create () in
+  let r = sort_record ~est_self_us:10.0 ~act_self_us:100.0 ~child_us:1430.0 in
+  Alcotest.(check bool) "inclusive q-error looks accurate" true
+    (r.Analyze.q_cost < 1.5);
+  Feedback.record store (report_of [ r ]);
+  match List.assoc_opt "p_sortm" (Feedback.factor_q store) with
+  | Some (samples, q) ->
+      Alcotest.(check int) "one sample" 1 samples;
+      Alcotest.(check (float 1e-6)) "self-cost q-error" 10.0 q
+  | None -> Alcotest.fail "p_sortm not aggregated"
 
 let test_adapt_noop_when_accurate () =
   (* synthetic store where estimates are perfect: no refit *)
   let store = Feedback.create () in
   let factors = Tango_cost.Factors.default () in
-  let report =
-    {
-      Analyze.records = [];
-      fingerprint = "x";
-      mean_q_rows = 1.0;
-      mean_q_cost = 1.0;
-      max_q_rows = 1.0;
-      max_q_cost = 1.0;
-      total_est_us = 1.0;
-      total_act_us = 1.0;
-      observations = [];
-    }
-  in
-  Feedback.record store report;
+  Feedback.record store (report_of []);
   Alcotest.(check bool) "no refit on empty evidence" true
     (Adapt.maybe_refit store ~factors = None)
 
@@ -275,5 +395,11 @@ let () =
             test_adaptive_refit_triggers;
           Alcotest.test_case "no-op when accurate" `Quick
             test_adapt_noop_when_accurate;
+          Alcotest.test_case "factor q-error from self cost" `Quick
+            test_factor_q_uses_self_cost;
+          Alcotest.test_case "adaptive refit in session" `Quick
+            test_adaptive_refit_in_session;
+          Alcotest.test_case "accurate factors do not refit" `Quick
+            test_accurate_factors_no_refit;
         ] );
     ]

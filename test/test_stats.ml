@@ -185,6 +185,81 @@ let test_derive_project_transfers () =
   Alcotest.(check bool) "narrower" true
     (Rel_stats.avg_tuple_size s < Rel_stats.avg_tuple_size (Derive.derive env scan))
 
+(* --- the collector reads the catalog --- *)
+
+module Database = Tango_dbms.Database
+
+let position_db () =
+  let db = Database.create () in
+  Database.load_relation db "POSITION" pos_rel;
+  db
+
+let position_table db =
+  Tango_dbms.Catalog.find (Database.catalog db) "POSITION"
+
+(* [`Cols] names a string column too: it never gets a histogram *)
+let modes =
+  [ ("All", `All); ("None", `None); ("Cols", `Cols [ "PosID"; "T1"; "Dept" ]) ]
+
+let same_catalog_stats label db before =
+  Alcotest.(check bool) (label ^ ": catalog statistics untouched") true
+    (match Database.stats_of db "POSITION" with
+    | Some after -> after == before
+    | None -> false)
+
+let analyzed_position ~histograms =
+  let db = position_db () in
+  let before = Database.analyze db ~histograms "POSITION" in
+  (db, before)
+
+let test_reuse_equals_fresh_analyze () =
+  let db, before = analyzed_position ~histograms:`All in
+  List.iter
+    (fun (name, histograms) ->
+      let reused = Collector.collect ~histograms db ~qualifier:"A" "POSITION" in
+      let fresh =
+        Collector.of_table_stats ~qualifier:"A"
+          (Tango_dbms.Analyze.compute ~histograms (position_table db))
+      in
+      Alcotest.(check bool) (name ^ ": reused = fresh ANALYZE") true
+        (compare reused fresh = 0);
+      same_catalog_stats name db before)
+    modes
+
+let test_collect_keeps_catalog () =
+  (* a [`None] collect reads the catalog and keeps its histograms *)
+  let db, before = analyzed_position ~histograms:`All in
+  let s = Collector.collect ~histograms:`None db ~qualifier:"P" "POSITION" in
+  Alcotest.(check bool) "no histogram reported" true
+    (List.for_all (fun (_, c) -> c.Rel_stats.histogram = None) s.Rel_stats.cols);
+  same_catalog_stats "None collect" db before;
+  (* a catalog without histograms is not rewritten by an [`All] collect:
+     the histograms are computed for the caller only *)
+  let db, before = analyzed_position ~histograms:`None in
+  let s = Collector.collect ~histograms:`All db ~qualifier:"P" "POSITION" in
+  Alcotest.(check bool) "histograms reported" true
+    (Option.is_some (Option.bind (Rel_stats.find s "P.T1") (fun c -> c.Rel_stats.histogram)));
+  same_catalog_stats "All collect" db before
+
+let test_unanalyzed_table_analyzed_once () =
+  let db = position_db () in
+  let io = Database.io_stats db in
+  let read0 = io.Tango_storage.Io_stats.tuples_read in
+  ignore (Collector.collect db ~qualifier:"A" "POSITION");
+  let first = Database.stats_of db "POSITION" in
+  Alcotest.(check bool) "the first collect fills the catalog" true
+    (Option.is_some first);
+  List.iter
+    (fun qualifier -> ignore (Collector.collect db ~qualifier "POSITION"))
+    [ "B"; "P"; "POSITION" ];
+  Alcotest.(check int) "one scan of the table"
+    (Relation.cardinality pos_rel)
+    (io.Tango_storage.Io_stats.tuples_read - read0);
+  Alcotest.(check bool) "later collects read it" true
+    (match (first, Database.stats_of db "POSITION") with
+    | Some a, Some b -> a == b
+    | _ -> false)
+
 (* property: temporal estimate is never worse than naive by more than 2x on
    uniform overlap queries, and is within 10x of actual *)
 let prop_temporal_beats_naive =
@@ -230,6 +305,15 @@ let () =
           Alcotest.test_case "taggr no groups" `Quick test_derive_taggr_no_groups;
           Alcotest.test_case "temporal join factor" `Quick test_derive_temporal_join_factor;
           Alcotest.test_case "project & transfers" `Quick test_derive_project_transfers;
+        ] );
+      ( "collector",
+        [
+          Alcotest.test_case "reuse equals fresh ANALYZE" `Quick
+            test_reuse_equals_fresh_analyze;
+          Alcotest.test_case "collect keeps catalog" `Quick
+            test_collect_keeps_catalog;
+          Alcotest.test_case "unanalyzed table analyzed once" `Quick
+            test_unanalyzed_table_analyzed_once;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_temporal_beats_naive ] );
